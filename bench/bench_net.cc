@@ -3,7 +3,10 @@
 //
 //   1. load        — N pipelined connections (default 32), each appending to
 //                    its own stream with a bounded in-flight window; reports
-//                    aggregate appends/s and durable-ack latency percentiles.
+//                    aggregate appends/s and durable-ack latency percentiles,
+//                    then repeats the run with durable acks off and reports
+//                    durable over non-durable appends/s (same host, same
+//                    run, so the ratio travels between machines).
 //   2. shed        — tiny admission budget + kShed: pipelined batches must be
 //                    rejected with kFailedPrecondition, never queued; the
 //                    ss_net_backpressure_shed_total delta proves the policy.
@@ -11,10 +14,14 @@
 //                    saturating connections (TCP pushback) instead of
 //                    shedding; every append is eventually acked, and the
 //                    ss_net_backpressure_blocked_total delta proves it.
-//   4. kill        — sync-WAL store, pipelined appends, Server::Abort() mid
-//                    stream (store leaked: no destructor flush); the store is
-//                    reopened and every acked append must have survived via
-//                    WAL replay. acked_lost must be 0.
+//   4. kill        — pipelined appends, Server::Abort() mid stream (store
+//                    leaked: no destructor flush); the store is reopened and
+//                    every acked append must have survived via WAL replay.
+//                    Two variants: a sync-WAL store, and a sync_wal=false
+//                    store (the sserver default) under FaultFs whose
+//                    simulated power loss drops every byte no fsync covered,
+//                    so its acks stand only on the ack flush's WAL barrier.
+//                    acked_lost must be 0 in both.
 //   5. noisy       — two-tenant fair-share isolation: a hot tenant saturates
 //                    far beyond its per-tenant share under kShed while a
 //                    quiet tenant trickles small appends. The quiet tenant
@@ -47,6 +54,7 @@
 #include "src/net/socket.h"
 #include "src/net/tenant.h"
 #include "src/obs/metrics.h"
+#include "src/storage/fault_fs.h"
 
 namespace {
 
@@ -143,6 +151,189 @@ ConnResult DriveConnection(uint16_t port, StreamId sid, uint64_t events, size_t 
   return out;
 }
 
+struct LoadResult {
+  bool ok = false;
+  double rate = 0.0;  // acked appends per second
+  std::vector<double> ack_ms;
+};
+
+// Phase 1: `conns` pipelined connections, each appending `events` to its own
+// stream on a fresh sync_wal=false store. Prints the rate; ok=false (after a
+// message) if any connection failed or any append went unacked.
+LoadResult RunLoad(int conns, uint64_t events, size_t window, bool durable_acks) {
+  LoadResult out;
+  ScopedTempDir dir(durable_acks ? "net_load" : "net_load_nondurable");
+  auto store = OpenStore(dir.path(), /*sync_wal=*/false);
+  if (!store.ok()) {
+    std::fprintf(stderr, "open failed: %s\n", store.status().ToString().c_str());
+    return out;
+  }
+  net::ServerOptions options;
+  options.durable_acks = durable_acks;
+  auto server = net::Server::Start(store->get(), options);
+  if (!server.ok()) {
+    std::fprintf(stderr, "server start failed: %s\n", server.status().ToString().c_str());
+    return out;
+  }
+  Stopwatch epoch;
+  std::vector<ConnResult> results(conns);
+  std::vector<std::thread> threads;
+  threads.reserve(conns);
+  for (int t = 0; t < conns; ++t) {
+    threads.emplace_back([&, t] {
+      results[t] =
+          DriveConnection((*server)->port(), static_cast<StreamId>(t + 1), events, window, epoch);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  const double wall_s = epoch.ElapsedSeconds();
+  (*server)->Stop();
+  uint64_t acked = 0;
+  for (const auto& r : results) {
+    if (r.io_error) {
+      std::fprintf(stderr, "load phase: connection hit an I/O error\n");
+      return out;
+    }
+    acked += r.acked;
+    out.ack_ms.insert(out.ack_ms.end(), r.ack_ms.begin(), r.ack_ms.end());
+  }
+  const uint64_t expected = static_cast<uint64_t>(conns) * events;
+  if (acked != expected) {
+    std::fprintf(stderr, "load phase: acked %llu of %llu appends\n",
+                 static_cast<unsigned long long>(acked),
+                 static_cast<unsigned long long>(expected));
+    return out;
+  }
+  out.rate = static_cast<double>(acked) / wall_s;
+  std::printf("load (%s acks): %llu appends acked in %.2f s -> %.0f appends/s\n",
+              durable_acks ? "durable" : "non-durable", static_cast<unsigned long long>(acked),
+              wall_s, out.rate);
+  out.ok = true;
+  return out;
+}
+
+struct KillResult {
+  bool ok = false;
+  uint64_t acked = 0;
+  uint64_t lost = 0;
+};
+
+// Phase 4: pipelined appends, Server::Abort() once a quarter of them are
+// acked, the store leaked (no close-time memtable flush), then reopened.
+// With sync_wal=false the store runs under FaultFs and the kill ends in a
+// simulated power loss that drops every byte no fsync covered, so only the
+// ack flush's WAL barrier can keep an acked append. ok=false (after a
+// message) on any setup failure or any acked append lost.
+KillResult RunKill(int conns, uint64_t events, bool sync_wal) {
+  KillResult out;
+  const char* variant = sync_wal ? "sync_wal" : "sync_wal=false + power loss";
+  ScopedTempDir dir(sync_wal ? "net_kill" : "net_kill_nosync");
+  std::vector<ConnResult> results(conns);
+  std::atomic<uint64_t> acks_seen{0};
+  FaultFs fault_fs;
+  if (!sync_wal) {
+    SetFileOpsForTest(&fault_fs);
+  }
+  {
+    auto store = OpenStore(dir.path(), sync_wal);
+    if (!store.ok()) {
+      std::fprintf(stderr, "kill store open failed\n");
+      SetFileOpsForTest(nullptr);
+      return out;
+    }
+    auto server = net::Server::Start(store->get(), net::ServerOptions{});
+    if (!server.ok()) {
+      std::fprintf(stderr, "kill server start failed\n");
+      SetFileOpsForTest(nullptr);
+      return out;
+    }
+    std::vector<std::thread> threads;
+    for (int t = 0; t < conns; ++t) {
+      threads.emplace_back([&, t] {
+        auto client = net::Client::Connect("127.0.0.1", (*server)->port());
+        if (!client.ok()) {
+          results[t].io_error = true;
+          return;
+        }
+        net::Client& c = **client;
+        if (!c.CreateStream(static_cast<StreamId>(t + 1), BenchConfig()).ok()) {
+          results[t].io_error = true;
+          return;
+        }
+        Timestamp ts = 0;
+        uint64_t sent = 0;
+        while (sent < events || c.inflight() > 0) {
+          while (sent < events && c.inflight() < 64) {
+            if (!c.SendAppend(static_cast<StreamId>(t + 1), ++ts, 1.0).ok()) {
+              return;  // server killed mid-send: acks so far stand
+            }
+            ++sent;
+          }
+          auto ack = c.ReceiveAck();
+          if (!ack.ok()) {
+            return;  // reset/EOF: the kill
+          }
+          if (ack->status.ok()) {
+            ++results[t].acked;
+            acks_seen.fetch_add(1);
+          }
+        }
+      });
+    }
+    // Kill the server once a quarter of the fleet's appends are acked:
+    // enough traffic that acks are genuinely in flight everywhere.
+    const uint64_t kill_at = static_cast<uint64_t>(conns) * events / 4;
+    while (acks_seen.load() < kill_at) {
+      std::this_thread::yield();
+    }
+    (*server)->Abort();
+    for (auto& th : threads) {
+      th.join();
+    }
+    // Hard kill: leak the store so no destructor flush cleans up after us.
+    // WAL replay alone must account for every acked append.
+    (void)store->release();
+  }
+  if (!sync_wal) {
+    Status power_loss = fault_fs.ApplyPowerLoss();
+    SetFileOpsForTest(nullptr);
+    if (!power_loss.ok()) {
+      std::fprintf(stderr, "kill phase: power loss failed: %s\n",
+                   power_loss.ToString().c_str());
+      return out;
+    }
+  }
+
+  auto reopened = OpenStore(dir.path(), sync_wal);
+  if (!reopened.ok()) {
+    std::fprintf(stderr, "kill phase (%s): reopen failed: %s\n", variant,
+                 reopened.status().ToString().c_str());
+    return out;
+  }
+  uint64_t total_recovered = 0;
+  for (int t = 0; t < conns; ++t) {
+    out.acked += results[t].acked;
+    auto stream = (*reopened)->GetStream(static_cast<StreamId>(t + 1));
+    const uint64_t recovered = stream.ok() ? (*stream)->element_count() : 0;
+    total_recovered += recovered;
+    if (recovered < results[t].acked) {
+      out.lost += results[t].acked - recovered;
+    }
+  }
+  std::printf("kill (%s): %llu acked before abort, %llu recovered after replay, %llu lost\n",
+              variant, static_cast<unsigned long long>(out.acked),
+              static_cast<unsigned long long>(total_recovered),
+              static_cast<unsigned long long>(out.lost));
+  if (out.lost != 0) {
+    std::fprintf(stderr, "kill phase (%s): acked appends lost across kill+replay\n", variant);
+    return out;
+  }
+  out.ok = true;
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -161,58 +352,23 @@ int main() {
   std::printf("=== net: %d pipelined connections x %llu appends (window %zu) ===\n", kConns,
               static_cast<unsigned long long>(kEvents), kWindow);
   {
-    ScopedTempDir dir("net_load");
-    auto store = OpenStore(dir.path(), /*sync_wal=*/false);
-    if (!store.ok()) {
-      std::fprintf(stderr, "open failed: %s\n", store.status().ToString().c_str());
+    auto durable = RunLoad(kConns, kEvents, kWindow, /*durable_acks=*/true);
+    auto fast = RunLoad(kConns, kEvents, kWindow, /*durable_acks=*/false);
+    if (!durable.ok || !fast.ok) {
       return 1;
     }
-    auto server = net::Server::Start(store->get(), net::ServerOptions{});
-    if (!server.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n", server.status().ToString().c_str());
-      return 1;
-    }
-    Stopwatch epoch;
-    std::vector<ConnResult> results(kConns);
-    std::vector<std::thread> threads;
-    threads.reserve(kConns);
-    for (int t = 0; t < kConns; ++t) {
-      threads.emplace_back([&, t] {
-        results[t] =
-            DriveConnection((*server)->port(), static_cast<StreamId>(t + 1), kEvents, kWindow, epoch);
-      });
-    }
-    for (auto& th : threads) {
-      th.join();
-    }
-    const double wall_s = epoch.ElapsedSeconds();
-    uint64_t acked = 0;
-    std::vector<double> ack_ms;
-    for (const auto& r : results) {
-      if (r.io_error) {
-        std::fprintf(stderr, "load phase: connection hit an I/O error\n");
-        return 1;
-      }
-      acked += r.acked;
-      ack_ms.insert(ack_ms.end(), r.ack_ms.begin(), r.ack_ms.end());
-    }
-    const uint64_t expected = static_cast<uint64_t>(kConns) * kEvents;
-    if (acked != expected) {
-      std::fprintf(stderr, "load phase: acked %llu of %llu appends\n",
-                   static_cast<unsigned long long>(acked),
-                   static_cast<unsigned long long>(expected));
-      return 1;
-    }
-    const double rate = static_cast<double>(acked) / wall_s;
-    std::printf("load: %llu appends acked in %.2f s -> %.0f appends/s\n",
-                static_cast<unsigned long long>(acked), wall_s, rate);
+    std::vector<double>& ack_ms = durable.ack_ms;
     std::printf("ack latency: p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n", Percentile(ack_ms, 50),
                 Percentile(ack_ms, 95), Percentile(ack_ms, 99));
-    report.Add("load_appends_per_sec", rate, "appends/s", "higher");
+    const double ratio = durable.rate / fast.rate;
+    std::printf("durable / non-durable ingest: %.0f / %.0f appends/s = %.3f\n", durable.rate,
+                fast.rate, ratio);
+    report.Add("load_appends_per_sec", durable.rate, "appends/s", "higher");
+    report.Add("nondurable_load_appends_per_sec", fast.rate, "appends/s", "higher");
+    report.Add("durable_over_nondurable_ratio", ratio, "x", "higher");
     report.Add("ack_p50_ms", Percentile(ack_ms, 50), "ms", "lower");
     report.Add("ack_p95_ms", Percentile(ack_ms, 95), "ms", "lower");
     report.Add("ack_p99_ms", Percentile(ack_ms, 99), "ms", "lower");
-    (*server)->Stop();
   }
 
   // ------------------------------------------------------------ phase 2: shed
@@ -314,96 +470,17 @@ int main() {
 
   // ------------------------------------------------------------ phase 4: kill
   {
-    ScopedTempDir dir("net_kill");
     const uint64_t kill_events = std::min<uint64_t>(kEvents, 2000);
-    std::vector<ConnResult> results(kConns);
-    std::atomic<uint64_t> acks_seen{0};
-    {
-      auto store = OpenStore(dir.path(), /*sync_wal=*/true);
-      if (!store.ok()) {
-        std::fprintf(stderr, "kill store open failed\n");
-        return 1;
-      }
-      auto server = net::Server::Start(store->get(), net::ServerOptions{});
-      if (!server.ok()) {
-        std::fprintf(stderr, "kill server start failed\n");
-        return 1;
-      }
-      Stopwatch epoch;
-      std::vector<std::thread> threads;
-      for (int t = 0; t < kConns; ++t) {
-        threads.emplace_back([&, t] {
-          auto client = net::Client::Connect("127.0.0.1", (*server)->port());
-          if (!client.ok()) {
-            results[t].io_error = true;
-            return;
-          }
-          net::Client& c = **client;
-          if (!c.CreateStream(static_cast<StreamId>(t + 1), BenchConfig()).ok()) {
-            results[t].io_error = true;
-            return;
-          }
-          Timestamp ts = 0;
-          uint64_t sent = 0;
-          while (sent < kill_events || c.inflight() > 0) {
-            while (sent < kill_events && c.inflight() < 64) {
-              if (!c.SendAppend(static_cast<StreamId>(t + 1), ++ts, 1.0).ok()) {
-                return;  // server killed mid-send: acks so far stand
-              }
-              ++sent;
-            }
-            auto ack = c.ReceiveAck();
-            if (!ack.ok()) {
-              return;  // reset/EOF: the kill
-            }
-            if (ack->status.ok()) {
-              ++results[t].acked;
-              acks_seen.fetch_add(1);
-            }
-          }
-        });
-      }
-      // Kill the server once a quarter of the fleet's appends are acked:
-      // enough traffic that acks are genuinely in flight everywhere.
-      const uint64_t kill_at = static_cast<uint64_t>(kConns) * kill_events / 4;
-      while (acks_seen.load() < kill_at) {
-        std::this_thread::yield();
-      }
-      (*server)->Abort();
-      for (auto& th : threads) {
-        th.join();
-      }
-      // Hard kill: leak the store so no destructor flush cleans up after us.
-      // WAL replay alone must account for every acked append.
-      (void)store->release();
-    }
-
-    auto reopened = OpenStore(dir.path(), /*sync_wal=*/true);
-    if (!reopened.ok()) {
-      std::fprintf(stderr, "kill phase: reopen failed: %s\n",
-                   reopened.status().ToString().c_str());
+    KillResult synced = RunKill(kConns, kill_events, /*sync_wal=*/true);
+    KillResult barrier = RunKill(kConns, kill_events, /*sync_wal=*/false);
+    if (!synced.ok || !barrier.ok) {
       return 1;
     }
-    uint64_t total_acked = 0, total_recovered = 0, lost = 0;
-    for (int t = 0; t < kConns; ++t) {
-      total_acked += results[t].acked;
-      auto stream = (*reopened)->GetStream(static_cast<StreamId>(t + 1));
-      const uint64_t recovered = stream.ok() ? (*stream)->element_count() : 0;
-      total_recovered += recovered;
-      if (recovered < results[t].acked) {
-        lost += results[t].acked - recovered;
-      }
-    }
-    std::printf("kill: %llu acked before abort, %llu recovered after replay, %llu lost\n",
-                static_cast<unsigned long long>(total_acked),
-                static_cast<unsigned long long>(total_recovered),
-                static_cast<unsigned long long>(lost));
-    if (lost != 0) {
-      std::fprintf(stderr, "kill phase: acked appends lost across kill+replay\n");
-      return 1;
-    }
-    report.Add("kill_acked_appends", static_cast<double>(total_acked), "appends", "higher");
-    report.Add("kill_acked_lost", static_cast<double>(lost), "appends", "lower");
+    report.Add("kill_acked_appends", static_cast<double>(synced.acked), "appends", "higher");
+    report.Add("kill_acked_lost", static_cast<double>(synced.lost), "appends", "lower");
+    report.Add("kill_nosync_acked_appends", static_cast<double>(barrier.acked), "appends",
+               "higher");
+    report.Add("kill_nosync_acked_lost", static_cast<double>(barrier.lost), "appends", "lower");
   }
 
   // ----------------------------------------------------------- phase 5: noisy

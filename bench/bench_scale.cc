@@ -8,12 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include <atomic>
-#include <barrier>
-#include <thread>
-
 #include "bench/bench_util.h"
-#include "src/core/ingest_ring.h"
 #include "src/workload/generators.h"
 
 namespace {
@@ -144,66 +139,6 @@ int main() {
   std::printf("\nshape check vs paper: batched ingest keeps the working set bounded; "
               "latencies stay low and stable at fleet scale.\n");
 
-  // ---- striped ingest front: multi-producer append scaling --------------
-  // P producer threads push through per-core SPSC rings into one stream (one
-  // merge worker owns all window mutation); shared-clock timestamps with
-  // reorder slack sized to the total ring capacity. Compare P=1 vs P=2/4 for
-  // the scaling curve; rates are events/s end-to-end including the drain.
-  const uint64_t kRingEvents = EnvU64("SS_SCALE_RING_EVENTS", 1000000);
-  std::vector<std::pair<int, double>> ring_rates;
-  for (int producers : {1, 2, 4}) {
-    auto ring_store = SummaryStore::Open(StoreOptions{});
-    if (!ring_store.ok()) {
-      std::fprintf(stderr, "ring store open failed: %s\n",
-                   ring_store.status().ToString().c_str());
-      return 1;
-    }
-    StreamConfig config;
-    config.decay = std::make_shared<PowerLawDecay>(1, 1, 1, 1);
-    config.operators = OperatorSet::AggregatesOnly();
-    config.raw_threshold = 16;
-    config.reorder_buffer = 1 << 16;
-    StreamId ring_sid = *(*ring_store)->CreateStream(std::move(config));
-    IngestRingOptions ring_options;
-    ring_options.ring_capacity = 8192;
-    IngestFront front(**ring_store, ring_sid, ring_options);
-    std::vector<IngestFront::Producer*> handles;
-    for (int p = 0; p < producers; ++p) {
-      handles.push_back(front.RegisterProducer());
-    }
-    std::atomic<Timestamp> clock{0};
-    const uint64_t per_producer = kRingEvents / producers;
-    // A producer descheduled between grabbing a clock stamp and pushing it
-    // can otherwise be overtaken by an unbounded number of newer stamps
-    // (observed on 1-core CI runners); re-syncing every 4096 events caps the
-    // overtake at (P-1)*4096 stamps, far inside the reorder slack.
-    std::barrier sync(producers);
-    Stopwatch ring_timer;
-    std::vector<std::thread> threads;
-    for (int p = 0; p < producers; ++p) {
-      threads.emplace_back([&, p] {
-        for (uint64_t i = 0; i < per_producer; ++i) {
-          if (i != 0 && i % 4096 == 0) {
-            sync.arrive_and_wait();
-          }
-          Timestamp ts = clock.fetch_add(1, std::memory_order_relaxed) + 1;
-          (void)handles[static_cast<size_t>(p)]->Offer(ts, static_cast<double>(i % 11));
-        }
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    if (auto s = front.Drain(); !s.ok()) {
-      std::fprintf(stderr, "ring drain failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    front.Stop();
-    const double rate = per_producer * producers / ring_timer.ElapsedSeconds();
-    ring_rates.emplace_back(producers, rate);
-    std::printf("ingest ring: %d producer(s), %.0f appends/sec\n", producers, rate);
-  }
-
   const char* profile_env = std::getenv("SS_BENCH_PROFILE");
   BenchReport report("scale");
   report.AddMeta("profile", profile_env != nullptr ? profile_env : "default");
@@ -217,10 +152,6 @@ int main() {
   report.Add("cold_query_p95_ms", Percentile(latencies, 95), "ms", "lower");
   report.Add("fleet_count_err_pct", worst_err * 100, "pct", "lower");
   report.Add("fleet_query_ms", fleet_ms, "ms", "lower");
-  for (const auto& [producers, rate] : ring_rates) {
-    report.Add("ring_ingest_p" + std::to_string(producers) + "_appends_per_sec", rate,
-               "appends/s", "higher");
-  }
   const char* out = std::getenv("SS_BENCH_OUT");
   std::string report_path = out != nullptr ? out : "BENCH_scale.json";
   if (report.WriteFile(report_path)) {

@@ -139,10 +139,9 @@ Status Stream::AppendOrdered(Timestamp ts, double value) {
   slot.ce = n_;
   slot.ts_start = ts;
   slot.ts_last = ts;
-  slot.dirty = true;
   slot.window = std::make_shared<SummaryWindow>(n_, ts, value);
   slot.size_bytes = slot.window->SizeBytes();
-  windows_.emplace(n_, std::move(slot));
+  MarkDirty(n_, windows_.emplace(n_, std::move(slot)).first->second);
   ts_index_.insert({ts, n_});
   if (prev_tail_cs != 0) {
     PushCandidate(prev_tail_cs);
@@ -195,6 +194,16 @@ std::optional<uint64_t> Stream::ComputeMergeAt(uint64_t left_start, uint64_t rig
   SS_DCHECK(merge_at < SatAdd(left_start, seq_.BucketBoundary(k + 1)))
       << "merge_at " << merge_at << " outside bucket " << k;
   return merge_at;
+}
+
+void Stream::MarkDirty(uint64_t cs, WindowSlot& slot) {
+  if (slot.dirty) {
+    return;
+  }
+  slot.dirty = true;
+  if (cs <= flushed_n_) {
+    dirty_windows_.push_back(cs);
+  }
 }
 
 void Stream::PushCandidate(uint64_t left_cs) {
@@ -268,7 +277,7 @@ Status Stream::MergePair(uint64_t left_cs, uint64_t right_cs) {
                                             config_.raw_threshold, config_.seed));
   left.ce = right.ce;
   left.ts_last = right.ts_last;
-  left.dirty = true;
+  MarkDirty(left_cs, left);
   left.size_bytes = left.window->SizeBytes();
 
   ts_index_.erase({right.ts_start, right_cs});
@@ -431,17 +440,28 @@ Status Stream::Flush() {
     batch.Clear();
     return Status::Ok();
   };
-  for (auto& [cs, slot] : windows_) {
-    if (!slot.dirty) {
-      continue;
-    }
+  auto add_window = [&](uint64_t cs, WindowSlot& slot) -> Status {
     SS_CHECK(slot.window != nullptr) << "persisting evicted window";
     Writer writer;
     slot.window->Serialize(writer);
     batch.Put(WindowKey(id_, cs), SealEnvelope(writer.data()));
     chunk_cs.push_back(cs);
-    if (batch.ApproximateBytes() >= kFlushChunkBytes) {
-      SS_RETURN_IF_ERROR(commit_chunk());
+    return batch.ApproximateBytes() >= kFlushChunkBytes ? commit_chunk() : Status::Ok();
+  };
+  // Older windows first, then the new ones: the batch stays in key order.
+  // De-duplicated because a scrub repair can re-list a reused key.
+  std::sort(dirty_windows_.begin(), dirty_windows_.end());
+  dirty_windows_.erase(std::unique(dirty_windows_.begin(), dirty_windows_.end()),
+                       dirty_windows_.end());
+  for (uint64_t cs : dirty_windows_) {
+    auto it = windows_.find(cs);
+    if (it != windows_.end() && it->second.dirty) {  // else merged away or quarantined
+      SS_RETURN_IF_ERROR(add_window(cs, it->second));
+    }
+  }
+  for (auto it = windows_.upper_bound(flushed_n_); it != windows_.end(); ++it) {
+    if (it->second.dirty) {  // clean only if an earlier, failed Flush got its chunk in
+      SS_RETURN_IF_ERROR(add_window(it->first, it->second));
     }
   }
   for (uint64_t cs : pending_deletes_) {
@@ -458,6 +478,8 @@ Status Stream::Flush() {
     batch.Put(StreamMetaKey(id_), SealEnvelope(writer.data()));
   }
   SS_RETURN_IF_ERROR(commit_chunk());
+  dirty_windows_.clear();
+  flushed_n_ = n_;
   pending_deletes_.clear();
   // The active (unclosed) landmark keeps mutating; re-persist it next flush.
   first_dirty_landmark_ = in_landmark_ && !landmarks_.empty() ? landmarks_.size() - 1
@@ -648,6 +670,7 @@ StatusOr<std::unique_ptr<Stream>> Stream::Load(StreamId id, KvBackend* kv) {
     stream->PushCandidate(it->first);
   }
   stream->meta_dirty_ = false;
+  stream->flushed_n_ = stream->n_;  // every window came from the store
   return stream;
 }
 
@@ -898,7 +921,7 @@ Status Stream::Scrub(bool repair, ScrubReport* report) {
       // Memory still holds a clean copy: re-flushing rewrites the bad KV
       // value. Only mutate when repairing (dry runs just report).
       if (repair) {
-        slot.dirty = true;
+        MarkDirty(cs, slot);
         ++report->repaired;
         scrub_repaired.Inc();
       }
@@ -983,7 +1006,7 @@ Status Stream::Scrub(bool repair, ScrubReport* report) {
         moved.persisted = false;
       }
       moved.ts_start = it->second.ts_start;
-      moved.dirty = true;
+      moved.dirty = false;  // re-listed under its new key below
       moved.size_bytes = (*right_window)->SizeBytes();
       uint64_t absorbed = 0;
       for (auto run = it; run != right_it;) {
@@ -998,7 +1021,7 @@ Status Stream::Scrub(bool repair, ScrubReport* report) {
       }
       windows_.erase(right_it);
       ts_index_.insert({moved.ts_start, cs});
-      windows_.emplace(cs, std::move(moved));
+      MarkDirty(cs, windows_.emplace(cs, std::move(moved)).first->second);
       report->repaired += absorbed;
       scrub_repaired.Inc(absorbed);
       FlightRecorder::Default().Record(FlightEventType::kScrubRepair, id_, absorbed);
@@ -1018,7 +1041,7 @@ Status Stream::Scrub(bool repair, ScrubReport* report) {
     (*left_window)->AbsorbLost(it->second.ce, it->second.ts_last, lost);
     left.ce = it->second.ce;
     left.ts_last = std::max(left.ts_last, it->second.ts_last);
-    left.dirty = true;
+    MarkDirty(left_it->first, left);
     left.size_bytes = (*left_window)->SizeBytes();
     ts_index_.erase({it->second.ts_start, cs});
     if (it->second.persisted) {

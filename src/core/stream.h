@@ -137,7 +137,11 @@ class Stream {
   // Flush). After draining, the watermark advances to the newest staged ts.
   Status DrainReorderBuffer();
 
-  // Persists dirty windows, landmarks and metadata to the KV store.
+  // Persists dirty windows, landmarks and metadata to the KV store, as write
+  // batches through the backend's group commit. Cost follows what changed
+  // since the last Flush (the dirty-window list), not the window count. The
+  // records are logged but not yet synced: durability comes from the
+  // backend's Flush barrier (SummaryStore::Flush issues both).
   Status Flush();
   // Flush + drop all in-memory window payloads (queries reload on demand).
   Status EvictAllWindows();
@@ -165,6 +169,12 @@ class Stream {
   // a Stream directly (tools, benches, single-threaded tests) may skip
   // locking entirely.
   std::shared_mutex& mutex() const { return mu_; }
+
+  // Whether this stream sits in its SummaryStore's dirty-stream list (the
+  // streams the next SummaryStore::Flush visits). Owned by the store; read
+  // and written only under exclusive ownership of mutex().
+  bool commit_listed() const { return commit_listed_; }
+  void set_commit_listed(bool listed) { commit_listed_ = listed; }
 
   // --- introspection ------------------------------------------------------
   StreamId id() const { return id_; }
@@ -244,6 +254,9 @@ class Stream {
   uint64_t EndPos(const WindowSlot& slot) const;
   std::optional<uint64_t> ComputeMergeAt(uint64_t left_start, uint64_t right_end) const;
   void PushCandidate(uint64_t left_cs);  // candidate for (left, successor(left))
+  // Sets slot.dirty; on a clean->dirty transition of a window older than
+  // the last flush, lists `cs` in dirty_windows_.
+  void MarkDirty(uint64_t cs, WindowSlot& slot);
   Status DrainMerges();
   Status MergePair(uint64_t left_cs, uint64_t right_cs);
   StatusOr<std::shared_ptr<SummaryWindow>> LoadWindow(uint64_t cs, WindowSlot& slot,
@@ -296,7 +309,17 @@ class Stream {
   size_t first_dirty_landmark_ = 0;
   std::priority_queue<MergeCandidate, std::vector<MergeCandidate>, std::greater<>> heap_;
   std::vector<uint64_t> pending_deletes_;  // cs of merged-away windows
+  // What Flush must visit, so it never scans every window: each window with
+  // cs > flushed_n_ (created since the last successful Flush, so never
+  // persisted), plus dirty_windows_, the older windows marked dirty since
+  // then (merge targets, scrub repairs). Entries go stale when a window
+  // merges away or is quarantined (slot gone, or no longer dirty); Flush
+  // skips them. At most one entry per window that existed at the last
+  // Flush, since a clean->dirty transition lists a window once.
+  uint64_t flushed_n_ = 0;
+  std::vector<uint64_t> dirty_windows_;
   bool meta_dirty_ = true;
+  bool commit_listed_ = false;  // see commit_listed()
   uint64_t access_clock_ = 0;  // monotone stamp source for slot.last_access
   // Min-heap (by timestamp) staging out-of-order arrivals; see
   // StreamConfig::reorder_buffer.

@@ -106,6 +106,7 @@ Status SummaryStore::Scrub(bool repair, ScrubReport* report) {
   for (auto& [id, stream] : streams_) {
     std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
     Status status = stream->Scrub(repair, report);
+    ListDirty(stream.get());  // if the scrub's own flush failed, retry its repairs
     if (!status.ok() && first_error.ok()) {
       first_error = status;
     }
@@ -134,6 +135,15 @@ StatusOr<Stream*> SummaryStore::FindStreamLocked(StreamId id) {
   return it->second.get();
 }
 
+void SummaryStore::ListDirty(Stream* stream) {
+  if (stream->commit_listed()) {
+    return;
+  }
+  stream->set_commit_listed(true);
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  dirty_streams_.push_back(stream->id());
+}
+
 StatusOr<StreamId> SummaryStore::CreateStream(StreamConfig config) {
   std::unique_lock<std::shared_mutex> registry(registry_mu_);
   // The id is committed only if creation succeeds (CreateStreamWithIdLocked
@@ -157,6 +167,10 @@ Status SummaryStore::CreateStreamWithIdLocked(StreamId id, StreamConfig config) 
   }
   next_stream_id_ = std::max(next_stream_id_, id + 1);
   auto stream = std::make_unique<Stream>(id, std::move(config), kv_.get());
+  // Log the stream's meta ahead of the stream list that names it: WAL replay
+  // stops at the first torn record, so a crash can never leave a listed
+  // stream without a meta (which would fail every later Open).
+  SS_RETURN_IF_ERROR(stream->Flush());
   streams_.emplace(id, std::move(stream));
   StreamCountGauge().Set(static_cast<int64_t>(streams_.size()));
   return PersistStreamList();
@@ -209,10 +223,14 @@ Status SummaryStore::Append(StreamId id, Timestamp ts, double value) {
     std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
     lock_wait_us.Record(static_cast<uint64_t>(wait.ElapsedMicros()));
     ScopedTimer timer(append_us);
-    return stream->Append(ts, value);
+    Status status = stream->Append(ts, value);
+    ListDirty(stream);
+    return status;
   }
   std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
-  return stream->Append(ts, value);
+  Status status = stream->Append(ts, value);
+  ListDirty(stream);
+  return status;
 }
 
 Status SummaryStore::Append(StreamId id, double value) { return Append(id, NowMicros(), value); }
@@ -233,21 +251,27 @@ Status SummaryStore::AppendBatch(StreamId id, std::span<const Event> events) {
   batch_events.Record(events.size());
   FlightRecorder::Default().Record(FlightEventType::kAppendBatch, id, events.size());
   std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
-  return stream->AppendBatch(events);
+  Status status = stream->AppendBatch(events);
+  ListDirty(stream);  // also on error: the prefix before the failure is in
+  return status;
 }
 
 Status SummaryStore::BeginLandmark(StreamId id, Timestamp ts) {
   std::shared_lock<std::shared_mutex> registry(registry_mu_);
   SS_ASSIGN_OR_RETURN(Stream * stream, FindStreamLocked(id));
   std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
-  return stream->BeginLandmark(ts);
+  Status status = stream->BeginLandmark(ts);
+  ListDirty(stream);
+  return status;
 }
 
 Status SummaryStore::EndLandmark(StreamId id, Timestamp ts) {
   std::shared_lock<std::shared_mutex> registry(registry_mu_);
   SS_ASSIGN_OR_RETURN(Stream * stream, FindStreamLocked(id));
   std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
-  return stream->EndLandmark(ts);
+  Status status = stream->EndLandmark(ts);
+  ListDirty(stream);
+  return status;
 }
 
 StatusOr<QueryResult> SummaryStore::Query(StreamId id, const QuerySpec& spec) {
@@ -428,10 +452,37 @@ StatusOr<QueryResult> SummaryStore::QueryAggregate(std::span<const StreamId> ids
 }
 
 Status SummaryStore::Flush() {
-  std::shared_lock<std::shared_mutex> registry(registry_mu_);
-  for (auto& [id, stream] : streams_) {
-    std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
-    SS_RETURN_IF_ERROR(stream->Flush());
+  {
+    std::lock_guard<std::mutex> commit(commit_mu_);
+    std::vector<StreamId> dirty;
+    {
+      std::lock_guard<std::mutex> lock(dirty_mu_);
+      dirty.swap(dirty_streams_);
+    }
+    std::shared_lock<std::shared_mutex> registry(registry_mu_);
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      auto it = streams_.find(dirty[i]);
+      if (it == streams_.end()) {
+        continue;  // deleted since it was listed
+      }
+      Stream* stream = it->second.get();
+      std::unique_lock<std::shared_mutex> stream_lock(stream->mutex());
+      if (!stream->commit_listed()) {
+        continue;  // a repeated id, flushed earlier in this loop
+      }
+      // Cleared under the stream lock: a write after this critical section
+      // lists the stream again for the next Flush.
+      stream->set_commit_listed(false);
+      if (Status status = stream->Flush(); !status.ok()) {
+        // Re-list this stream and every one not visited yet, so a retried
+        // Flush still logs their state.
+        stream->set_commit_listed(true);
+        std::lock_guard<std::mutex> lock(dirty_mu_);
+        dirty_streams_.insert(dirty_streams_.end(), dirty.begin() + static_cast<ptrdiff_t>(i),
+                              dirty.end());
+        return status;
+      }
+    }
   }
   return kv_->Flush();
 }

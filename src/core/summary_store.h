@@ -57,7 +57,9 @@ struct StoreOptions {
 // one being appended to from another thread — proceed in parallel. Lock
 // order is registry -> stream -> window cache -> backend; see DESIGN.md
 // "Threading model". GetStream() hands out a raw Stream* for tools and
-// benchmarks: driving it while other threads use the store is on the caller.
+// benchmarks: driving it while other threads use the store is on the caller,
+// and so is persisting what it changes (Flush only visits streams changed
+// through this API).
 class SummaryStore {
  public:
   // Opens (or creates) a store and reloads every registered stream's index.
@@ -102,7 +104,11 @@ class SummaryStore {
   StatusOr<QueryResult> QueryAggregate(std::span<const StreamId> ids, const QuerySpec& spec);
 
   // --- maintenance ---------------------------------------------------------
-  // Persists all dirty state to the backend.
+  // Durable commit: every write that returned before Flush was called
+  // survives a crash once Flush returns OK. Logs the dirty state of the
+  // streams mutated since the last Flush (only those are locked and
+  // visited) and then issues the backend's durability barrier — for the LSM
+  // backend one synced WAL group commit, never a new table file.
   Status Flush();
   // Flush + evict all in-memory window payloads.
   Status EvictAll();
@@ -138,6 +144,9 @@ class SummaryStore {
   // Callers must hold registry_mu_ (shared suffices for Find, exclusive for
   // Create); the returned pointer stays valid only while the lock is held.
   StatusOr<Stream*> FindStreamLocked(StreamId id);
+  // Puts `stream` on the dirty-stream list unless it is already there.
+  // Caller holds stream->mutex() exclusively (or is the stream's only user).
+  void ListDirty(Stream* stream);
   Status CreateStreamWithIdLocked(StreamId id, StreamConfig config);
   Status PersistStreamList();
   // Lazily spawns the fleet-query pool; returns null when configured serial.
@@ -152,6 +161,16 @@ class SummaryStore {
   mutable std::shared_mutex registry_mu_;
   std::map<StreamId, std::unique_ptr<Stream>> streams_;
   StreamId next_stream_id_ = 1;
+
+  // Dirty-stream list: ids of streams mutated since a Flush last took them,
+  // so a commit costs what changed, not the stream count. Ids may repeat or
+  // name deleted streams; Flush skips both. dirty_mu_ is a leaf lock.
+  std::mutex dirty_mu_;
+  std::vector<StreamId> dirty_streams_;
+  // Serializes Flush's stream phase, so a Flush cannot reach the backend
+  // barrier while streams that a concurrent Flush took off the list are
+  // still unlogged. Taken before registry_mu_.
+  std::mutex commit_mu_;
 
   const size_t fleet_query_threads_;
   std::once_flag pool_once_;

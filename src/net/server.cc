@@ -43,6 +43,10 @@ Counter& BlockedTotal() {
   static Counter& c = MetricRegistry::Default().GetCounter("ss_net_backpressure_blocked_total");
   return c;
 }
+Counter& LoopWakeups() {
+  static Counter& c = MetricRegistry::Default().GetCounter("ss_net_loop_wakeups_total");
+  return c;
+}
 Counter& BytesRead() {
   static Counter& c = MetricRegistry::Default().GetCounter("ss_net_bytes_read_total");
   return c;
@@ -311,6 +315,7 @@ Status Server::Init() {
 Server::~Server() { Stop(); }
 
 void Server::Wake() {
+  LoopWakeups().Inc();
   uint64_t one = 1;
   // A full eventfd counter still wakes the loop; short writes cannot happen.
   [[maybe_unused]] ssize_t n = ::write(wake_.get(), &one, sizeof(one));
@@ -648,17 +653,33 @@ void Server::ProcessInput(const std::shared_ptr<Connection>& conn) {
         tenant->bucket_tokens -= static_cast<double>(events);
       }
       const bool block = options_.backpressure == ServerOptions::Backpressure::kBlock;
-      const uint64_t tenant_pending = tenant->pending.load(std::memory_order_acquire);
-      const uint64_t global_pending = ingest_pending_.load(std::memory_order_acquire);
       // A single batch larger than the whole share is admitted when the
       // share is idle under kBlock (it could never run otherwise). The
       // global cap only binds once multiple tenants' admitted shares overlap.
-      const bool tenant_over = tenant_pending + events > tenant->budget_events &&
-                               !(tenant_pending == 0 && block);
-      const bool global_over = global_pending + events > options_.ingest_queue_events &&
-                               !(global_pending == 0 && block);
-      if (tenant_over || global_over) {
-        if (options_.backpressure == ServerOptions::Backpressure::kShed) {
+      auto over_budget = [&] {
+        const uint64_t tenant_pending = tenant->pending.load();
+        const uint64_t global_pending = ingest_pending_.load();
+        const bool tenant_over = tenant_pending + events > tenant->budget_events &&
+                                 !(tenant_pending == 0 && block);
+        const bool global_over = global_pending + events > options_.ingest_queue_events &&
+                                 !(global_pending == 0 && block);
+        return tenant_over || global_over;
+      };
+      bool over = over_budget();
+      if (over && block) {
+        // ReleaseIngest wakes the loop only while some connection is
+        // blocked. Publish this one before re-reading the budget (both
+        // seq_cst, as in ReleaseIngest), so a release that raced past the
+        // first read either sees the count and wakes us, or freed budget
+        // this second read sees.
+        blocked_conns_.fetch_add(1);
+        over = over_budget();
+        if (!over) {
+          blocked_conns_.fetch_sub(1);
+        }
+      }
+      if (over) {
+        if (!block) {
           ShedTotal().Inc();
           tenant->shed->Inc();
           // Through exec_queue, NOT straight to the socket: earlier frames
@@ -788,6 +809,7 @@ void Server::RetryBlocked() {
   }
   for (const auto& conn : blocked) {
     conn->blocked = false;
+    blocked_conns_.fetch_sub(1);
     ProcessInput(conn);
     if (!conn->blocked) {
       UpdateEpoll(conn, /*want_read=*/true, /*want_write=*/false);
@@ -850,6 +872,10 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
       return;
     }
     conn->closed = true;
+    if (conn->blocked) {
+      conn->blocked = false;
+      blocked_conns_.fetch_sub(1);
+    }
     if (conn->stall_since_us != 0) {
       conn->stall_since_us = 0;
       over_bound_.fetch_sub(1, std::memory_order_acq_rel);
@@ -946,13 +972,18 @@ void Server::ReleaseIngest(TenantState* tenant, uint64_t events) {
     return;
   }
   if (tenant != nullptr) {
-    tenant->pending.fetch_sub(events, std::memory_order_acq_rel);
+    tenant->pending.fetch_sub(events);
     tenant->pending_gauge->Add(-static_cast<int64_t>(events));
   }
-  ingest_pending_.fetch_sub(events, std::memory_order_acq_rel);
+  ingest_pending_.fetch_sub(events);
   IngestPending().Add(-static_cast<int64_t>(events));
-  recheck_blocked_.store(true, std::memory_order_release);
-  Wake();
+  // Only a blocked connection waits on freed budget; with none, skip the
+  // eventfd write and the loop's RetryBlocked sweep. The seq_cst pairing
+  // with ProcessInput's publish-then-recheck closes the block/release race.
+  if (blocked_conns_.load() > 0) {
+    recheck_blocked_.store(true, std::memory_order_release);
+    Wake();
+  }
 }
 
 void Server::RunRequests(const std::shared_ptr<Connection>& conn) {

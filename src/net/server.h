@@ -21,9 +21,11 @@
 //     flow control pushes back on the client) until capacity frees up.
 //   - Durable acks: ingest responses are withheld until a store Flush
 //     covering the request completes (group-flush: one Flush acks every
-//     append admitted before it began — the network-facing analogue of the
-//     PR 4 WAL group commit). An acked append therefore survives a hard
-//     server kill; WAL replay covers the tail. Disable via
+//     append executed before it began). That Flush logs the dirty windows of
+//     the streams touched since the previous one and covers them with one
+//     synced WAL group commit — no table file is written — so an acked
+//     append survives a hard server kill or a power loss, with or without
+//     LsmOptions::sync_wal; WAL replay restores it. Disable via
 //     ServerOptions::durable_acks for throughput experiments.
 //
 // Every frame decoder treats input as hostile (see protocol.h); a frame that
@@ -198,6 +200,9 @@ class Server {
   // Ingest admission budget (events admitted, ack not yet sent).
   std::atomic<uint64_t> ingest_pending_{0};
   std::atomic<bool> recheck_blocked_{false};
+  // Connections with Connection::blocked set (loop thread writes; workers
+  // read it in ReleaseIngest to decide whether the loop needs a wake-up).
+  std::atomic<size_t> blocked_conns_{0};
 
   // Tenant table, fixed at Init: index 0 is the implicit legacy tenant (id 0,
   // unlimited quotas, the whole ingest budget); multi-tenant mode appends one

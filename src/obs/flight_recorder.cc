@@ -94,12 +94,6 @@ const char* FlightEventTypeName(FlightEventType type) {
       return "flush_chunk";
     case FlightEventType::kDump:
       return "dump";
-    case FlightEventType::kIngestStall:
-      return "ingest_stall";
-    case FlightEventType::kIngestShed:
-      return "ingest_shed";
-    case FlightEventType::kIngestDrain:
-      return "ingest_drain";
     case FlightEventType::kNetFaultInjected:
       return "net_fault_injected";
     case FlightEventType::kNetRetry:

@@ -42,13 +42,11 @@ enum class FlightEventType : uint16_t {
   kScrubRepair = 13,     // arg0 = stream id, arg1 = windows repaired/absorbed
   kWindowQuarantine = 14,  // arg0 = stream id, arg1 = window cs
   kDegradedQuery = 15,   // arg0 = query op enum, arg1 = skipped spans
-  kStorePoison = 16,     // arg0 = 0 commit / 1 rotate
+  kStorePoison = 16,     // arg0 = 0 commit / 1 rotate / 2 pre-flush sync
   kFaultInjected = 17,   // arg0 = FaultOp enum, arg1 = op index
   kFlushChunk = 18,      // arg0 = stream id, arg1 = records in chunk
   kDump = 19,            // arg0 = events captured in the bundle
-  kIngestStall = 20,     // arg0 = stream id, arg1 = producer wait us (block policy)
-  kIngestShed = 21,      // arg0 = stream id, arg1 = events shed (shed policy)
-  kIngestDrain = 22,     // arg0 = stream id, arg1 = events drained this sweep
+  // 20-22 are retired: bundles written by older builds may still hold them.
   kNetFaultInjected = 23,   // arg0 = fd, arg1 = NetFaultKind enum (fault_net.h)
   kNetRetry = 24,           // arg0 = opcode, arg1 = attempt number
   kNetReconnect = 25,       // arg0 = reconnect count, arg1 = replayed ingest frames

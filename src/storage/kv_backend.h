@@ -77,7 +77,8 @@ class KvBackend {
   // degrades to one write per op; backends with a write-ahead log override
   // this to log and fsync the group once. On error the batch may have been
   // partially applied (callers treat the whole batch as indeterminate, the
-  // same contract a failed Put has).
+  // same contract a failed Put has). LsmStore logs a multi-op batch as one
+  // WAL record, so crash recovery replays it whole or not at all.
   virtual Status PutBatch(const WriteBatch& batch) {
     for (const WriteBatch::Op& op : batch.ops()) {
       if (op.value.has_value()) {
@@ -95,7 +96,9 @@ class KvBackend {
   virtual Status Scan(std::string_view start, std::string_view end, const ScanVisitor& visit) = 0;
 
   // Durability barrier: after Flush returns OK, all prior writes survive
-  // reopen. No-op for ephemeral backends.
+  // reopen, including one after a crash or power loss. LsmStore covers them
+  // with one synced WAL group commit (concurrent Flush calls and writers
+  // share the fsync) and writes no table file. No-op for ephemeral backends.
   virtual Status Flush() = 0;
 
   // Approximate bytes of live data (logical, pre-compression).

@@ -11,19 +11,26 @@
 //              a fresh memtable (flushed immediately if over threshold).
 //
 // Durability:  every acknowledged write under sync_wal=true survives power
-//              loss. SST creation and MANIFEST renames are followed by
-//              parent-directory fsyncs; the WAL restarts via rotate-then-
-//              swap (never in-place truncation); a failed WAL append or
-//              fsync poisons the store (writes fail fast) rather than
-//              letting the log run ahead of the memtable. See DESIGN.md §8.
+//              loss; under sync_wal=false, every write acknowledged before
+//              a Flush() that returned OK does. Flush() is a WAL fsync
+//              barrier, not a memtable flush: SSTs are written only when the
+//              memtable reaches memtable_bytes, on close, and by an explicit
+//              FlushMemtable(). SST creation and MANIFEST renames are
+//              followed by parent-directory fsyncs; the WAL restarts via
+//              rotate-then-swap (never in-place truncation); a failed WAL
+//              append or fsync poisons the store (writes fail fast) rather
+//              than letting the log run ahead of the memtable. See
+//              DESIGN.md §8.
 //
 // All public methods are thread-safe behind a single mutex, but writes use a
 // leader/follower group commit (DESIGN.md §9): concurrent writers queue their
 // batches, the writer at the front of the queue drains the queue into one
-// group, releases the mutex, appends the whole group to the WAL and fsyncs it
-// once, then relocks to apply the group to the memtable and acknowledge every
-// member. The mutex is never held across the fsync, so reads proceed while a
-// commit is in flight, and N contended sync_wal writers share one fsync.
+// group, releases the mutex, appends the whole group to the WAL with one
+// write() and fsyncs it once, then relocks to apply the group to the memtable
+// and acknowledge every member. Flush() barriers queue the same way, so
+// concurrent flushers and writers share one fsync. The mutex is never held
+// across the write or the fsync, so reads proceed while a commit is in
+// flight.
 #ifndef SUMMARYSTORE_SRC_STORAGE_LSM_STORE_H_
 #define SUMMARYSTORE_SRC_STORAGE_LSM_STORE_H_
 
@@ -63,7 +70,13 @@ class LsmStore : public KvBackend {
   Status Delete(std::string_view key) override;
   Status PutBatch(const WriteBatch& batch) override;
   Status Scan(std::string_view start, std::string_view end, const ScanVisitor& visit) override;
+  // Durability barrier (KvBackend::Flush): one synced WAL group commit; no
+  // SST is written. Returns at once when the log holds no unsynced record.
   Status Flush() override;
+  // Writes the memtable to a new SST (then rotates the WAL, and compacts at
+  // compaction_trigger) regardless of its size. For tests and tools that
+  // need table files; the serving path never calls it.
+  Status FlushMemtable();
   uint64_t ApproximateSizeBytes() const override;
   void DropCaches() override;
   CacheStats GetCacheStats() const override;
@@ -81,7 +94,7 @@ class LsmStore : public KvBackend {
   // reads `batch` outside mu_ — safe because the owner blocks on `done`, and
   // the enqueue/adopt handoff through mu_ establishes happens-before).
   struct PendingWrite {
-    const WriteBatch* batch = nullptr;
+    const WriteBatch* batch = nullptr;  // null: a Flush() barrier (sync only)
     Status status;
     bool done = false;
   };
@@ -89,6 +102,9 @@ class LsmStore : public KvBackend {
   LsmStore(std::string dir, const LsmOptions& options);
 
   Status Recover();
+  // Queues `self` on write_queue_ and parks until a leader has committed it
+  // or it reaches the front and leads the next group itself.
+  Status EnqueueAndCommit(PendingWrite* self, std::unique_lock<std::mutex>& lock);
   // The leader path: called by the writer at the front of write_queue_ with
   // mu_ held; commits the whole queued group, acks every member, and returns
   // the caller's (= the group's) status.
@@ -116,6 +132,10 @@ class LsmStore : public KvBackend {
   // torn relative to) the memtable, so further writes fail fast instead of
   // acknowledging data that might not replay.
   bool wal_poisoned_ = false;
+  // True while the current WAL holds acknowledged records no fsync has
+  // covered yet; Flush() is a no-op when it is false. Written by the group
+  // leader (the only WAL appender) and by rotation, always under mu_.
+  bool wal_unsynced_ = false;
   // Group-commit state (DESIGN.md §9). Writers park here in arrival order;
   // the front entry is the leader. True while the leader has dropped mu_ to
   // append/fsync the WAL: code that replaces or rotates the WAL (memtable

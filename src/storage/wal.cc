@@ -1,6 +1,7 @@
 #include "src/storage/wal.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/serde.h"
@@ -13,6 +14,7 @@ namespace {
 
 constexpr uint64_t kReplayChunkBytes = 64 << 10;
 constexpr uint64_t kRecordHeaderBytes = 8;  // crc fixed32 + len fixed32
+constexpr uint32_t kBatchBit = 0x80000000u;  // length word flag: batch record
 
 // Bounded-memory forward reader over the log file: serves byte ranges out of
 // a sliding chunk, falling back to a direct read for records larger than
@@ -72,22 +74,52 @@ StatusOr<WalWriter> WalWriter::RotateAndOpen(const std::string& path) {
   return WalWriter(std::move(file));
 }
 
-Status WalWriter::Append(std::string_view key, std::optional<std::string_view> value) {
-  static Counter& appends = MetricRegistry::Default().GetCounter("ss_storage_wal_appends_total");
-  static Counter& bytes = MetricRegistry::Default().GetCounter("ss_storage_wal_bytes_total");
-  Writer payload;
+namespace {
+
+void PutOp(Writer& payload, std::string_view key, std::optional<std::string_view> value) {
   payload.PutString(key);
   payload.PutU8(value.has_value() ? 1 : 0);
   if (value.has_value()) {
     payload.PutString(*value);
   }
-  Writer record;
-  record.PutFixed32(Crc32c(payload.data()));
-  record.PutFixed32(static_cast<uint32_t>(payload.size()));
-  record.PutRaw(payload.data().data(), payload.size());
-  appends.Inc();
-  bytes.Inc(record.size());
-  return file_.Append(record.data());
+}
+
+void FrameRecord(const std::string& payload, uint32_t flags, std::string* out) {
+  Writer header;
+  header.PutFixed32(Crc32c(payload));
+  header.PutFixed32(static_cast<uint32_t>(payload.size()) | flags);
+  out->append(header.data());
+  out->append(payload);
+}
+
+}  // namespace
+
+void WalWriter::EncodeBatch(const WriteBatch& batch, std::string* out) {
+  Writer payload;
+  if (batch.size() != 1) {
+    payload.PutVarint(batch.size());
+  }
+  for (const WriteBatch::Op& op : batch.ops()) {
+    PutOp(payload, op.key,
+          op.value ? std::optional<std::string_view>(*op.value) : std::nullopt);
+  }
+  FrameRecord(payload.data(), batch.size() != 1 ? kBatchBit : 0, out);
+}
+
+Status WalWriter::Append(std::string_view key, std::optional<std::string_view> value) {
+  Writer payload;
+  PutOp(payload, key, value);
+  std::string record;
+  FrameRecord(payload.data(), 0, &record);
+  return AppendRecords(record, 1);
+}
+
+Status WalWriter::AppendRecords(std::string_view records, uint64_t ops) {
+  static Counter& appends = MetricRegistry::Default().GetCounter("ss_storage_wal_appends_total");
+  static Counter& bytes = MetricRegistry::Default().GetCounter("ss_storage_wal_bytes_total");
+  appends.Inc(ops);
+  bytes.Inc(records.size());
+  return file_.Append(records);
 }
 
 Status WalWriter::Sync() {
@@ -104,7 +136,11 @@ Status WalWriter::Sync() {
   return status;
 }
 
-StatusOr<uint64_t> WalReplay(const std::string& path, const WalReplayVisitor& visit) {
+StatusOr<uint64_t> WalReplay(const std::string& path, const WalReplayVisitor& visit,
+                             bool* torn_tail) {
+  if (torn_tail != nullptr) {
+    *torn_tail = false;
+  }
   if (!FileExists(path)) {
     return uint64_t{0};
   }
@@ -122,7 +158,9 @@ StatusOr<uint64_t> WalReplay(const std::string& path, const WalReplayVisitor& vi
     SS_RETURN_IF_ERROR(chunks.ReadAt(consumed, kRecordHeaderBytes, &header));
     Reader header_reader(header);
     uint32_t crc = *header_reader.ReadFixed32();
-    uint32_t len = *header_reader.ReadFixed32();
+    uint32_t len_field = *header_reader.ReadFixed32();
+    const bool batch = (len_field & kBatchBit) != 0;
+    const uint32_t len = len_field & ~kBatchBit;
     if (len > file_size - consumed - kRecordHeaderBytes) {
       CountTornTail(path, consumed, "truncated payload");
       break;
@@ -133,29 +171,47 @@ StatusOr<uint64_t> WalReplay(const std::string& path, const WalReplayVisitor& vi
       CountTornTail(path, consumed, "checksum mismatch");
       break;
     }
+    // Decode every op before visiting any, so a batch applies whole or not
+    // at all.
     Reader body(payload);
-    auto key = body.ReadString();
-    if (!key.ok()) {
-      CountTornTail(path, consumed, "bad record body");
-      break;
+    uint64_t count = 1;
+    if (batch) {
+      auto n = body.ReadVarint();
+      count = n.ok() && *n <= payload.size() ? *n : 0;  // an op takes >= 2 bytes
     }
-    auto has_value = body.ReadU8();
-    if (!has_value.ok()) {
-      CountTornTail(path, consumed, "bad record body");
-      break;
-    }
-    if (*has_value != 0) {
-      auto value = body.ReadString();
-      if (!value.ok()) {
-        CountTornTail(path, consumed, "bad record body");
+    std::vector<std::pair<std::string_view, std::optional<std::string_view>>> ops;
+    ops.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      auto key = body.ReadString();
+      if (!key.ok()) {
         break;
       }
-      visit(*key, *value);
-    } else {
-      visit(*key, std::nullopt);
+      auto has_value = body.ReadU8();
+      if (!has_value.ok()) {
+        break;
+      }
+      if (*has_value == 0) {
+        ops.emplace_back(*key, std::nullopt);
+        continue;
+      }
+      auto value = body.ReadString();
+      if (!value.ok()) {
+        break;
+      }
+      ops.emplace_back(*key, *value);
     }
-    ++recovered;
+    if (ops.empty() || ops.size() != count) {
+      CountTornTail(path, consumed, "bad record body");
+      break;
+    }
+    for (const auto& [key, value] : ops) {
+      visit(key, value);
+    }
+    recovered += ops.size();
     consumed += kRecordHeaderBytes + len;
+  }
+  if (torn_tail != nullptr) {
+    *torn_tail = consumed < file_size;
   }
   return recovered;
 }

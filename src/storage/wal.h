@@ -1,6 +1,8 @@
 // Write-ahead log for the LSM store. Each record is
-//   [crc32c(payload) : fixed32][payload_len : fixed32][payload]
-// where the payload encodes one Put or Delete. Replay stops cleanly at the
+//   [crc32c(payload) : fixed32][payload_len | batch_bit : fixed32][payload]
+// where the payload encodes one Put or Delete, or — with the top bit of the
+// length word set — a whole multi-op WriteBatch ([varint count][op]*), so
+// replay applies a batch entirely or not at all. Replay stops cleanly at the
 // first truncated or corrupt record (standard crash semantics: a torn tail
 // write loses only the unacknowledged suffix); torn tails are counted in
 // ss_storage_wal_torn_tail_total and logged.
@@ -13,6 +15,7 @@
 #include <string_view>
 
 #include "src/storage/file_util.h"
+#include "src/storage/kv_backend.h"
 
 namespace ss {
 
@@ -31,6 +34,14 @@ class WalWriter {
   // Appends one record; value == nullopt encodes a tombstone.
   Status Append(std::string_view key, std::optional<std::string_view> value);
 
+  // Appends the framed encoding of `batch` to `out` (no I/O): a plain record
+  // for a one-op batch, one batch record otherwise. The group-commit leader
+  // encodes a whole group this way and logs it with one AppendRecords call,
+  // i.e. one write() per group instead of one per record.
+  static void EncodeBatch(const WriteBatch& batch, std::string* out);
+  // Appends framed bytes from EncodeBatch carrying `ops` operations.
+  Status AppendRecords(std::string_view records, uint64_t ops);
+
   Status Sync();
   uint64_t bytes_written() const { return file_.bytes_written(); }
 
@@ -43,10 +54,13 @@ class WalWriter {
 // Replays all intact records in `path`, invoking the visitor in log order.
 // The log is streamed in bounded chunks (memory stays O(chunk + one
 // record), not O(file)). A missing file is not an error (fresh database).
-// Returns the number of records recovered.
+// Returns the number of records recovered; `torn_tail`, when given, reports
+// whether replay stopped before the end of the file (records appended after
+// such a tail would never replay).
 using WalReplayVisitor =
     std::function<void(std::string_view key, std::optional<std::string_view> value)>;
-StatusOr<uint64_t> WalReplay(const std::string& path, const WalReplayVisitor& visit);
+StatusOr<uint64_t> WalReplay(const std::string& path, const WalReplayVisitor& visit,
+                             bool* torn_tail = nullptr);
 
 }  // namespace ss
 

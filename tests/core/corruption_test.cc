@@ -880,7 +880,7 @@ TEST(BlockCache, CorruptBlockNeverCachedAndErrorNotSticky) {
     for (int i = 0; i < 400; ++i) {
       ASSERT_TRUE((*store)->Put(key(i), value(i)).ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
     ASSERT_GT((*store)->sstable_count(), 0u);
     (*store)->DropCaches();
 

@@ -155,6 +155,59 @@ TEST_F(DurableStoreTest, ReopenPreservesStreamsAndAnswers) {
   EXPECT_NEAR(partial_result->estimate, 1001.0, 25.0);
 }
 
+// Flush is a WAL barrier and writes no table, so a store reopened with a
+// compaction trigger of two, given one small write and a Flush, reaches a
+// single table through its close: the close-time memtable flush adds the
+// second table and triggers a full compaction. Benchmarks bring loaded
+// stores to one canonical table exactly this way.
+TEST_F(DurableStoreTest, CloseAfterFlushCompactsToOneTable) {
+  {
+    StoreOptions options = Options();
+    options.lsm.memtable_bytes = 16 << 10;  // many tables during the load
+    options.lsm.compaction_trigger = 1000;  // and none merged yet
+    auto store = SummaryStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    for (StreamId id = 1; id <= 4; ++id) {
+      ASSERT_TRUE((*store)->CreateStreamWithId(id, SmallConfig()).ok());
+      for (int t = 1; t <= 3000; ++t) {
+        ASSERT_TRUE((*store)->Append(id, t, 1.0).ok());
+        if (t % 100 == 0) {
+          ASSERT_TRUE((*store)->Flush().ok());
+        }
+      }
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  {
+    auto lsm = LsmStore::Open(dir_);
+    ASSERT_TRUE(lsm.ok());
+    ASSERT_GT((*lsm)->sstable_count(), 2u);
+  }
+  {
+    StoreOptions options = Options();
+    options.lsm.compaction_trigger = 2;
+    auto store = SummaryStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    const size_t tables_before = dynamic_cast<LsmStore&>((*store)->backend()).sstable_count();
+    ASSERT_TRUE((*store)->CreateStreamWithId(1000, SmallConfig()).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    // The barrier itself wrote no table.
+    EXPECT_EQ(dynamic_cast<LsmStore&>((*store)->backend()).sstable_count(), tables_before);
+  }
+  auto lsm = LsmStore::Open(dir_);
+  ASSERT_TRUE(lsm.ok());
+  EXPECT_EQ((*lsm)->sstable_count(), 1u);
+  lsm->reset();
+  auto reopened = SummaryStore::Open(Options());
+  ASSERT_TRUE(reopened.ok());
+  for (StreamId id = 1; id <= 4; ++id) {
+    QuerySpec spec{.t1 = 1, .t2 = 3000, .op = QueryOp::kCount};
+    auto result = (*reopened)->Query(id, spec);
+    ASSERT_TRUE(result.ok());
+    EXPECT_DOUBLE_EQ(result->estimate, 3000.0);
+  }
+}
+
 TEST_F(DurableStoreTest, IngestContinuesAfterReopen) {
   StreamId sid;
   {

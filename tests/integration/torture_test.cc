@@ -106,6 +106,7 @@ TEST_P(TortureTest, RandomOpInterleavingsPreserveAnswers) {
       (*store)->DropCaches();
     } else {  // reopen the whole store
       ASSERT_TRUE((*store)->Flush().ok());
+      store->reset();  // close before reopening: one live store per directory
       store = SummaryStore::Open(Options());
       ASSERT_TRUE(store.ok());
       in_landmark = (*(*store)->GetStream(sid))->in_landmark();

@@ -17,6 +17,7 @@
 #include "src/net/server.h"
 #include "src/net/tenant.h"
 #include "src/obs/metrics.h"
+#include "src/storage/fault_fs.h"
 #include "src/storage/file_util.h"
 
 namespace ss::net {
@@ -40,6 +41,8 @@ class NetServerTest : public ::testing::Test {
            std::to_string(counter.fetch_add(1));
     (void)RemoveDirRecursive(dir_);  // stale store from a previous run
   }
+  // A test that failed with a FaultFs installed must not leave it behind.
+  void TearDown() override { SetFileOpsForTest(nullptr); }
 
   StatusOr<std::unique_ptr<SummaryStore>> OpenStore(bool sync_wal = false) {
     StoreOptions options;
@@ -247,55 +250,140 @@ TEST_F(NetServerTest, BlockPolicyThrottlesAndLosesNothing) {
   EXPECT_DOUBLE_EQ(result->result.estimate, static_cast<double>(kAppends));
 }
 
+// An ack frees admission budget, but only a blocked connection is waiting
+// for it: with none blocked, releasing must not wake the event loop (one
+// eventfd write plus a RetryBlocked sweep per ack).
+TEST_F(NetServerTest, AcksWakeLoopOnlyWhenAConnectionIsBlocked) {
+  auto store = OpenStore();
+  ASSERT_TRUE(store.ok());
+  auto server = Server::Start(store->get(), ServerOptions{});  // 64k-event budget
+  ASSERT_TRUE(server.ok());
+  auto client = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  Client& c = **client;
+  auto sid = c.CreateStream(0, SmallConfig());
+  ASSERT_TRUE(sid.ok());
+
+  Counter& wakeups = MetricRegistry::Default().GetCounter("ss_net_loop_wakeups_total");
+  const uint64_t before = wakeups.value();
+  constexpr int kAppends = 200;
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(c.Append(*sid, i + 1, 1.0).ok());  // one ack flush each
+  }
+  // Responses normally go out by the workers' opportunistic send; the odd
+  // EAGAIN fallback may still wake the loop, never once per ack.
+  EXPECT_LT(wakeups.value() - before, static_cast<uint64_t>(kAppends / 4));
+}
+
+// The block/release race: the loop decides to block on a stale budget read
+// while a worker frees the last budget and — seeing no blocked connection —
+// skips the wake-up. The publish-then-recheck in admission must leave no
+// connection stranded: every append of every connection gets its ack.
+TEST_F(NetServerTest, BlockReleaseRaceNeverStrandsAConnection) {
+  for (bool durable : {false, true}) {
+    (void)RemoveDirRecursive(dir_);
+    auto store = OpenStore();
+    ASSERT_TRUE(store.ok());
+    ServerOptions options;
+    options.backpressure = ServerOptions::Backpressure::kBlock;
+    options.ingest_queue_events = 1;  // every append past the first blocks
+    options.durable_acks = durable;
+    auto server = Server::Start(store->get(), options);
+    ASSERT_TRUE(server.ok());
+    constexpr int kConns = 4;
+    constexpr int kAppends = 250;
+    std::vector<int> acked(kConns, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kConns; ++t) {
+      threads.emplace_back([&, t] {
+        auto client = Client::Connect("127.0.0.1", (*server)->port());
+        ASSERT_TRUE(client.ok());
+        Client& c = **client;
+        auto sid = c.CreateStream(static_cast<StreamId>(t + 1), SmallConfig());
+        ASSERT_TRUE(sid.ok());
+        for (int i = 0; i < kAppends; ++i) {
+          ASSERT_TRUE(c.SendAppend(*sid, i + 1, 1.0).ok());
+        }
+        for (int i = 0; i < kAppends; ++i) {
+          auto ack = c.ReceiveAck();
+          ASSERT_TRUE(ack.ok()) << ack.status();
+          ASSERT_TRUE(ack->status.ok()) << ack->status;
+          ++acked[t];
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    for (int t = 0; t < kConns; ++t) {
+      EXPECT_EQ(acked[t], kAppends) << "connection " << t << " durable=" << durable;
+    }
+    (*server)->Stop();
+  }
+}
+
+// Hard kill mid-stream, then a simulated power loss that drops every byte
+// no fsync covered: every acked append must replay. With sync_wal each write
+// syncs on its own; without it (the sserver default) an ack stands only on
+// its ack flush's synced WAL group commit.
 TEST_F(NetServerTest, AckedAppendsSurviveHardKill) {
   constexpr int kAppends = 200;
-  int acked = 0;
-  {
-    auto store = OpenStore(/*sync_wal=*/true);
-    ASSERT_TRUE(store.ok());
-    auto server = Server::Start(store->get(), ServerOptions{});
-    ASSERT_TRUE(server.ok());
-    auto client = Client::Connect("127.0.0.1", (*server)->port());
-    ASSERT_TRUE(client.ok());
-    Client& c = **client;
-    auto sid = c.CreateStream(3, SmallConfig());
-    ASSERT_TRUE(sid.ok());
+  for (bool sync_wal : {true, false}) {
+    SCOPED_TRACE(sync_wal ? "sync_wal" : "sync_wal=false");
+    (void)RemoveDirRecursive(dir_);
+    int acked = 0;
+    FaultFs fs;
+    SetFileOpsForTest(&fs);
+    {
+      auto store = OpenStore(sync_wal);
+      ASSERT_TRUE(store.ok());
+      auto server = Server::Start(store->get(), ServerOptions{});
+      ASSERT_TRUE(server.ok());
+      auto client = Client::Connect("127.0.0.1", (*server)->port());
+      ASSERT_TRUE(client.ok());
+      Client& c = **client;
+      auto sid = c.CreateStream(3, SmallConfig());
+      ASSERT_TRUE(sid.ok());
 
-    for (int i = 0; i < kAppends; ++i) {
-      ASSERT_TRUE(c.SendAppend(*sid, i + 1, 1.0).ok());
-    }
-    // Take roughly half the acks, then kill the server mid-stream.
-    for (int i = 0; i < kAppends / 2; ++i) {
-      auto ack = c.ReceiveAck();
-      ASSERT_TRUE(ack.ok()) << ack.status();
-      if (ack->status.ok()) {
-        ++acked;
+      for (int i = 0; i < kAppends; ++i) {
+        ASSERT_TRUE(c.SendAppend(*sid, i + 1, 1.0).ok());
       }
-    }
-    (*server)->Abort();
-    // Drain whatever raced out before the close; acks already on the wire
-    // still count (the server flushed before sending them).
-    for (;;) {
-      auto ack = c.ReceiveAck();
-      if (!ack.ok()) {
-        break;  // reset/EOF: the kill
+      // Take roughly half the acks, then kill the server mid-stream.
+      for (int i = 0; i < kAppends / 2; ++i) {
+        auto ack = c.ReceiveAck();
+        ASSERT_TRUE(ack.ok()) << ack.status();
+        if (ack->status.ok()) {
+          ++acked;
+        }
       }
-      if (ack->status.ok()) {
-        ++acked;
+      (*server)->Abort();
+      // Drain whatever raced out before the close; acks already on the wire
+      // still count (the server flushed before sending them).
+      for (;;) {
+        auto ack = c.ReceiveAck();
+        if (!ack.ok()) {
+          break;  // reset/EOF: the kill
+        }
+        if (ack->status.ok()) {
+          ++acked;
+        }
       }
+      // Hard kill: the file system crashes at its next mutating op, so no
+      // close-time flush makes recovery look better than it is. WAL replay
+      // alone must cover every acked append.
+      fs.CrashAtOpIndex(fs.mutating_op_count() + 1);
     }
-    // Hard kill: leak the store so no destructor flush makes recovery look
-    // better than it is. WAL replay alone must cover every acked append.
-    (void)store->release();
+    ASSERT_TRUE(fs.ApplyPowerLoss().ok());
+    SetFileOpsForTest(nullptr);
+    ASSERT_GT(acked, 0);
+
+    auto reopened = OpenStore(sync_wal);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    auto stream = (*reopened)->GetStream(3);
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    EXPECT_GE((*stream)->element_count(), static_cast<uint64_t>(acked))
+        << "acked appends lost across kill + power loss";
   }
-  ASSERT_GT(acked, 0);
-
-  auto reopened = OpenStore(/*sync_wal=*/true);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  auto stream = (*reopened)->GetStream(3);
-  ASSERT_TRUE(stream.ok()) << stream.status();
-  EXPECT_GE((*stream)->element_count(), static_cast<uint64_t>(acked))
-      << "acked appends lost across kill+replay";
 }
 
 TEST_F(NetServerTest, ManyConnectionsConcurrently) {

@@ -63,7 +63,7 @@ TEST_F(CrashRecoveryTest, MissingSstableFailsLoudly) {
     for (int i = 0; i < 500; ++i) {
       ASSERT_TRUE((*store)->Put("key" + std::to_string(i), std::string(64, 'x')).ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
     ASSERT_GE((*store)->sstable_count(), 1u);
   }
   // Delete one .sst file out from under the manifest.
@@ -85,7 +85,7 @@ TEST_F(CrashRecoveryTest, CorruptSstableBlockSurfacesAsCorruption) {
     for (int i = 0; i < 500; ++i) {
       ASSERT_TRUE((*store)->Put("key" + std::to_string(1000 + i), std::string(64, 'x')).ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
   }
   auto names = ListDir(dir_);
   for (const std::string& name : *names) {
@@ -145,7 +145,7 @@ TEST_F(CrashRecoveryTest, OrphanSstGcOnOpen) {
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE((*store)->Put("key" + std::to_string(i), std::string(64, 'x')).ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
   }
   // Plant debris a crash could leave behind: an SST that never made the
   // manifest, a half-written temp file, and a half-rotated WAL.
@@ -163,7 +163,7 @@ TEST_F(CrashRecoveryTest, OrphanSstGcOnOpen) {
   for (int i = 100; i < 300; ++i) {
     ASSERT_TRUE((*store)->Put("key" + std::to_string(i), std::string(64, 'y')).ok());
   }
-  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->FlushMemtable().ok());
   for (int i = 0; i < 300; ++i) {
     EXPECT_TRUE((*store)->Get("key" + std::to_string(i)).ok()) << i;
   }
@@ -179,11 +179,11 @@ TEST_F(CrashRecoveryTest, SalvageModeSkipsUnreadableTables) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE((*store)->Put("a" + std::to_string(i), "first").ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE((*store)->Put("b" + std::to_string(i), "second").ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
     ASSERT_EQ((*store)->sstable_count(), 2u);
   }
   // Destroy the first (older) table.
@@ -230,7 +230,7 @@ TEST_F(CrashRecoveryTest, CorruptManifestFailsLoudly) {
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE((*store)->Put("key" + std::to_string(i), std::string(64, 'x')).ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
   }
   std::string path = dir_ + "/MANIFEST";
   auto contents = ReadFileToString(path);
@@ -249,7 +249,7 @@ TEST_F(CrashRecoveryTest, LegacyManifestStillReadable) {
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE((*store)->Put("key" + std::to_string(i), std::string(64, 'x')).ok());
     }
-    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->FlushMemtable().ok());
     ASSERT_EQ((*store)->sstable_count(), 1u);
   }
   // Find the live table id and rewrite the manifest in the pre-versioning
@@ -294,6 +294,35 @@ TEST_F(CrashRecoveryTest, RecoveryFlushesOversizedMemtable) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE((*store)->Get("key" + std::to_string(i)).ok()) << i;
   }
+}
+
+TEST_F(CrashRecoveryTest, WritesAfterTornTailSurviveNextCrash) {
+  LsmOptions options = SmallOptions();
+  options.sync_wal = true;  // every acknowledged Put is a durability promise
+  {
+    auto store = LsmStore::Open(dir_, options);
+    ASSERT_TRUE((*store)->Put("before", "1").ok());
+    (void)store->release();  // hard kill
+  }
+  {
+    // A torn final record: bytes after the last intact one.
+    auto wal = AppendFile::Open(dir_ + "/wal.log");
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal->Append(std::string("\x07\x00\x00", 3)).ok());
+  }
+  {
+    auto store = LsmStore::Open(dir_, options);
+    ASSERT_TRUE(store.ok());
+    // Must not land behind the torn bytes, where replay would never reach.
+    ASSERT_TRUE((*store)->Put("after", "2").ok());
+    (void)store->release();  // second hard kill
+  }
+  auto store = LsmStore::Open(dir_, options);
+  ASSERT_TRUE(store.ok());
+  EXPECT_TRUE((*store)->Get("before").ok());
+  auto got = (*store)->Get("after");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, "2");
 }
 
 TEST_F(CrashRecoveryTest, UnflushedWritesRecoverViaWal) {

@@ -4,9 +4,12 @@
 //   - every acknowledged write (sync_wal=true) survives with its exact value,
 //   - writes never attempted are absent,
 //   - orphaned .sst/.tmp files and half-rotated WALs are collected,
-// for every single crash point. Also covers the transient-error paths:
-// a failed WAL fsync must poison the store instead of letting the log run
-// ahead of the memtable.
+// for every single crash point. A second matrix does the same for the
+// durable-ack contract on a sync_wal=false SummaryStore: every append made
+// before a Flush() that returned OK survives a crash at any step of that
+// Flush (stream WAL appends, the fsync, the return that would send the ack).
+// Also covers the transient-error paths: a failed WAL fsync must poison the
+// store instead of letting the log run ahead of the memtable.
 //
 // The default workload keeps the matrix small enough for tier-1; setting
 // SS_FAULT_INJECT=1 (the CI fault leg) enlarges it.
@@ -19,6 +22,7 @@
 #include <string>
 
 #include "src/common/logging.h"
+#include "src/core/summary_store.h"
 #include "src/storage/fault_fs.h"
 #include "src/storage/lsm_store.h"
 
@@ -26,6 +30,15 @@ namespace ss {
 namespace {
 
 using Model = std::map<std::string, std::optional<std::string>>;
+
+// Simulates a hard kill of a store running on `fs`: the file system crashes
+// at its next mutating op, so destroying the store afterwards persists
+// nothing (no close-time memtable flush) and leaks nothing.
+void HardKill(FaultFs& fs) {
+  if (!fs.crashed()) {
+    fs.CrashAtOpIndex(fs.mutating_op_count() + 1);
+  }
+}
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -128,7 +141,7 @@ class FaultInjectionTest : public ::testing::Test {
         (*acked)[key] = value;
       }
     }
-    (void)(*store)->Flush();
+    (void)(*store)->FlushMemtable();
     return num_ops;
   }
 
@@ -242,6 +255,183 @@ TEST_F(FaultInjectionTest, CrashMatrixLosesNoAcknowledgedWrite) {
     FaultFs clean_fs;
     SetFileOpsForTest(&clean_fs);
     VerifyAfterReopen(dir, num_ops, attempted, acked, indeterminate, crash_at);
+    SetFileOpsForTest(nullptr);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// Flush() is a durability barrier, not a memtable flush: it writes no table
+// file, costs one WAL fsync (none when nothing is unsynced), and what it
+// covered survives a power loss that drops every unsynced byte — while
+// writes after it, which no fsync covered, are really dropped.
+TEST_F(FaultInjectionTest, FlushIsSyncedWalBarrierWithoutTables) {
+  LsmOptions options;  // sync_wal=false, 4 MiB memtable: no threshold flush
+  FaultFs fs;
+  SetFileOpsForTest(&fs);
+  const std::string dir = dir_ + "/barrier";
+  {
+    auto store = LsmStore::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*store)->Put(Key(i), "covered").ok());
+    }
+    const uint64_t fsyncs_before = fs.op_count(FaultOp::kFsync);
+    ASSERT_TRUE((*store)->Flush().ok());
+    EXPECT_EQ(fs.op_count(FaultOp::kFsync), fsyncs_before + 1);
+    ASSERT_TRUE((*store)->Flush().ok());  // nothing new to cover
+    EXPECT_EQ(fs.op_count(FaultOp::kFsync), fsyncs_before + 1);
+    EXPECT_EQ((*store)->sstable_count(), 0u);
+    auto names = ListDir(dir);
+    ASSERT_TRUE(names.ok());
+    for (const std::string& name : *names) {
+      EXPECT_FALSE(name.size() > 4 && name.substr(name.size() - 4) == ".sst") << name;
+    }
+    for (int i = 50; i < 60; ++i) {
+      ASSERT_TRUE((*store)->Put(Key(i), "unsynced").ok());
+    }
+    HardKill(fs);
+  }
+  ASSERT_TRUE(fs.ApplyPowerLoss().ok());
+  FaultFs clean_fs;
+  SetFileOpsForTest(&clean_fs);
+  auto store = LsmStore::Open(dir, options);
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 50; ++i) {
+    auto got = (*store)->Get(Key(i));
+    ASSERT_TRUE(got.ok()) << Key(i) << " lost although Flush covered it";
+    EXPECT_EQ(*got, "covered");
+  }
+  for (int i = 50; i < 60; ++i) {
+    EXPECT_EQ((*store)->Get(Key(i)).status().code(), StatusCode::kNotFound)
+        << Key(i) << " survived a power loss no fsync covered";
+  }
+  store->reset();
+  SetFileOpsForTest(nullptr);
+}
+
+// The durable-ack path of sserver/ssbench (sync_wal=false, SummaryStore::
+// Flush as the ack), killed at every mutating syscall of a workload of
+// appends and ack flushes, then power loss: every append acked by a Flush
+// that returned OK must be back after reopen, nothing never attempted may
+// be. A crash between a stream's WAL append and the fsync fails the Flush
+// (no ack); a crash after the fsync leaves an OK Flush whose ack is lost
+// with the process — its appends must survive either way.
+TEST_F(FaultInjectionTest, AckCrashMatrixLosesNoFlushedAppend) {
+  const bool full = std::getenv("SS_FAULT_INJECT") != nullptr;
+  const int rounds = full ? 24 : 8;
+  constexpr int kStreams = 3;
+  constexpr int kPerRound = 5;
+  StoreOptions options;
+  options.lsm.memtable_bytes = 4096;  // threshold flushes + compactions in range
+  options.lsm.compaction_trigger = 3;
+  auto config = [] {
+    StreamConfig c;
+    c.decay = std::make_shared<PowerLawDecay>(1, 1, 1, 1);
+    c.raw_threshold = 4;
+    return c;
+  };
+  // Appends per stream: `acked` were covered by an OK Flush, `attempted`
+  // were issued. Returns false when the store died before the workload ended.
+  auto run = [&](FaultFs& fs, const std::string& dir, std::vector<uint64_t>* acked,
+                 std::vector<uint64_t>* attempted) {
+    options.dir = dir;
+    acked->assign(kStreams, 0);
+    attempted->assign(kStreams, 0);
+    auto store = SummaryStore::Open(options);
+    if (!store.ok()) {
+      return false;
+    }
+    for (int s = 0; s < kStreams; ++s) {
+      if (!(*store)->CreateStreamWithId(static_cast<StreamId>(s + 1), config()).ok() ||
+          !(*store)->Flush().ok()) {
+        HardKill(fs);
+        return false;
+      }
+    }
+    for (int round = 0; round < rounds; ++round) {
+      for (int i = 0; i < kPerRound; ++i) {
+        // Touch a rotating subset of streams so some commits skip some.
+        const int s = (round + i) % kStreams;
+        const Timestamp ts = static_cast<Timestamp>(++(*attempted)[s]);
+        if (!(*store)->Append(static_cast<StreamId>(s + 1), ts, 1.0).ok()) {
+          HardKill(fs);
+          return false;
+        }
+      }
+      if (!(*store)->Flush().ok()) {
+        HardKill(fs);  // the ack never went out
+        return false;
+      }
+      *acked = *attempted;  // the ack
+    }
+    HardKill(fs);  // even on success: no close-time flush
+    return true;
+  };
+  auto verify = [&](const std::string& dir, const std::vector<uint64_t>& acked,
+                    const std::vector<uint64_t>& attempted, uint64_t crash_at) {
+    options.dir = dir;
+    auto store = SummaryStore::Open(options);
+    ASSERT_TRUE(store.ok()) << "reopen failed after crash at op " << crash_at << ": "
+                            << store.status();
+    for (int s = 0; s < kStreams; ++s) {
+      const StreamId id = static_cast<StreamId>(s + 1);
+      auto stream = (*store)->GetStream(id);
+      if (acked[s] == 0 && !stream.ok()) {
+        continue;  // creation itself was never acked
+      }
+      ASSERT_TRUE(stream.ok()) << "stream " << id << " lost (crash at op " << crash_at << ")";
+      const uint64_t count = (*stream)->element_count();
+      EXPECT_GE(count, acked[s]) << "acked appends lost on stream " << id << " (crash at op "
+                                 << crash_at << ")";
+      EXPECT_LE(count, attempted[s]) << "phantom appends on stream " << id << " (crash at op "
+                                     << crash_at << ")";
+      // The recovered windows must answer for exactly what the meta counts.
+      if (count > 0) {
+        QuerySpec spec{.t1 = 1, .t2 = static_cast<Timestamp>(count), .op = QueryOp::kCount};
+        auto result = (*store)->Query(id, spec);
+        ASSERT_TRUE(result.ok()) << result.status() << " (crash at op " << crash_at << ")";
+        EXPECT_DOUBLE_EQ(result->estimate, static_cast<double>(count))
+            << "stream " << id << " (crash at op " << crash_at << ")";
+      }
+    }
+  };
+
+  uint64_t total_ops = 0;
+  {
+    FaultFs fs;
+    SetFileOpsForTest(&fs);
+    std::vector<uint64_t> acked, attempted;
+    const std::string dry_dir = dir_ + "/ack_dry";
+    ASSERT_TRUE(run(fs, dry_dir, &acked, &attempted));
+    total_ops = fs.mutating_op_count();
+    ASSERT_EQ(acked, attempted);
+    ASSERT_TRUE(fs.ApplyPowerLoss().ok());
+    FaultFs clean_fs;
+    SetFileOpsForTest(&clean_fs);
+    verify(dry_dir, acked, attempted, 0);
+    SetFileOpsForTest(nullptr);
+    ASSERT_TRUE(RemoveDirRecursive(dry_dir).ok());
+  }
+  ASSERT_GT(total_ops, 2u * static_cast<uint64_t>(rounds));
+
+  for (uint64_t crash_at = 1; crash_at <= total_ops; ++crash_at) {
+    const std::string dir = dir_ + "/ack_crash";
+    ASSERT_TRUE(RemoveDirRecursive(dir).ok());
+    FaultFs fs;
+    fs.CrashAtOpIndex(crash_at);
+    if (crash_at % 2 == 0) {
+      fs.SetTornWriteBytes(5);
+    }
+    SetFileOpsForTest(&fs);
+    std::vector<uint64_t> acked, attempted;
+    (void)run(fs, dir, &acked, &attempted);
+    EXPECT_TRUE(fs.crashed()) << crash_at;
+    ASSERT_TRUE(fs.ApplyPowerLoss().ok()) << crash_at;
+    FaultFs clean_fs;
+    SetFileOpsForTest(&clean_fs);
+    verify(dir, acked, attempted, crash_at);
     SetFileOpsForTest(nullptr);
     if (::testing::Test::HasFatalFailure()) {
       return;

@@ -71,7 +71,7 @@ TEST_F(LsmStoreTest, FlushCreatesTablesAndCompactionBoundsThem) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE((*store)->Put("key" + std::to_string(i), std::string(32, 'v')).ok());
   }
-  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->FlushMemtable().ok());
   EXPECT_LT((*store)->sstable_count(), 4u);  // compaction keeps table count low
   // All data still readable after compactions.
   for (int i = 0; i < 2000; i += 97) {
@@ -86,7 +86,7 @@ TEST_F(LsmStoreTest, ScanRangeOrderedAndShadowed) {
     std::snprintf(key, sizeof(key), "k%04d", i);
     ASSERT_TRUE((*store)->Put(key, "old" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->FlushMemtable().ok());
   // Overwrite a subset and delete another subset post-flush.
   for (int i = 100; i < 110; ++i) {
     char key[16];
@@ -147,7 +147,7 @@ TEST_F(LsmStoreTest, RandomOpsMatchReferenceModel) {
       model.erase(key);
     }
     if (op % 500 == 0) {
-      ASSERT_TRUE((*store)->Flush().ok());
+      ASSERT_TRUE((*store)->FlushMemtable().ok());
     }
   }
   // Point lookups agree with the model.
@@ -204,7 +204,7 @@ TEST_F(LsmStoreTest, DropCachesStillReads) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE((*store)->Put("k" + std::to_string(i), std::string(64, 'd')).ok());
   }
-  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->FlushMemtable().ok());
   (*store)->DropCaches();
   EXPECT_TRUE((*store)->Get("k500").ok());
 }

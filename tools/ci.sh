@@ -62,8 +62,9 @@ done
 
 echo "=== fault injection: full crash matrix under ASan (SS_FAULT_INJECT=1) ==="
 # Every mutating-syscall boundary in the write/flush/compact path — including
-# crashes at group-commit boundaries mid-batch — gets a simulated power loss
-# + reopen; the enlarged matrix runs only in CI.
+# crashes at group-commit boundaries mid-batch — and in the sync_wal=false
+# durable-ack path (stream WAL appends, the ack's fsync, the ack itself) gets
+# a simulated power loss + reopen; the enlarged matrices run only in CI.
 SS_FAULT_INJECT=1 "${san_dir}/tests/fault_injection_test"
 
 echo "=== corruption matrix: byte-flip sweep under ASan (SS_FAULT_INJECT=1) ==="
@@ -101,14 +102,12 @@ cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DSS_SANITIZE=thre
 cmake --build "${tsan_dir}" -j"$(nproc)" --target \
   thread_pool_test summary_store_test group_commit_test lsm_concurrency_test \
   concurrency_test corruption_test flight_recorder_test net_server_test \
-  ingest_ring_test retry_client_test
-# ingest_ring_test races producer rings against the merge worker and a
-# concurrent reader — the acquire/release SPSC publication under TSan.
+  retry_client_test
 # retry_client_test races concurrent retrying clients (including two raw
 # clients sharing one session) against the server's per-session dedup map.
 for t in thread_pool_test summary_store_test group_commit_test \
          lsm_concurrency_test concurrency_test corruption_test flight_recorder_test \
-         net_server_test ingest_ring_test retry_client_test; do
+         net_server_test retry_client_test; do
   echo "--- ${t} (tsan)"
   TSAN_OPTIONS=halt_on_error=1 "${tsan_dir}/tests/${t}"
 done
@@ -127,7 +126,7 @@ SS_BENCH_PROFILE=ci SS_BENCH_OUT="${bench_out}/BENCH_micro.json" \
   --benchmark_min_time=0.05
 "${prefix}/tools/bench_compare" BENCH_micro.json "${bench_out}/BENCH_micro.json" \
   --threshold-pct 75
-SS_BENCH_PROFILE=ci SS_SCALE_STREAMS=8 SS_SCALE_EVENTS=50000 SS_SCALE_RING_EVENTS=200000 \
+SS_BENCH_PROFILE=ci SS_SCALE_STREAMS=8 SS_SCALE_EVENTS=50000 \
   SS_BENCH_OUT="${bench_out}/BENCH_scale.json" "${prefix}/bench/bench_scale"
 "${prefix}/tools/bench_compare" BENCH_scale.json "${bench_out}/BENCH_scale.json" \
   --threshold-pct 75
